@@ -38,11 +38,25 @@
 //! `(p, denominator)` pairs produce bit-identical *costs* but distinct
 //! ratios (a ~1-ulp rounding coincidence); the engine re-verifies against
 //! the exact scan under `debug_assertions`.
+//!
+//! Stale copies are otherwise discarded only by queries, so a cache whose
+//! policy never queries (next-limit) would grow the heaps forever. Once the
+//! heaps hold more than `COMPACT_FACTOR × live + COMPACT_SLACK` entries
+//! they are rebuilt from the live states, one copy per entry.
+//! Every heap order is total, so this cannot change an answer; the
+//! amortised cost is O(1) per push.
 
 use crate::buffer_cache::PrefetchMeta;
 use prefetch_hash::FxHashMap;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+
+/// Heap copies allowed per live entry before a compaction (a fresh entry
+/// needs two: one in `fresh`, one in `due`).
+const COMPACT_FACTOR: usize = 4;
+/// Heap copies allowed on top of the per-entry allowance, so small
+/// indexes do not rebuild on every push.
+const COMPACT_SLACK: usize = 1024;
 
 /// Live facts about one resident prefetch entry, against which lazy heap
 /// entries are validated.
@@ -129,12 +143,7 @@ impl VictimIndex {
             block,
             EntryState { seq, probability: meta.probability, due, zeroed, key_bits: key.to_bits() },
         );
-        if zeroed {
-            self.zeroed.push((seq, block));
-        } else {
-            self.fresh.push(FreshEntry { key, seq, block });
-            self.due.push(Reverse((due, seq, block)));
-        }
+        self.push_copies(block, seq, due, zeroed, key);
     }
 
     /// Drop a departed entry (referenced, evicted, or cancelled). Heap
@@ -153,12 +162,49 @@ impl VictimIndex {
         let key = if zeroed { 0.0 } else { meta.probability / f64::from(meta.distance) };
         *st =
             EntryState { seq, probability: meta.probability, due, zeroed, key_bits: key.to_bits() };
+        self.push_copies(block, seq, due, zeroed, key);
+    }
+
+    /// Push the heap copies for one entry's new state, compacting first
+    /// when the heaps have outgrown their bound.
+    fn push_copies(&mut self, block: u64, seq: u64, due: u64, zeroed: bool, key: f64) {
+        if self.heap_len() > COMPACT_FACTOR * self.states.len() + COMPACT_SLACK {
+            self.compact();
+        }
         if zeroed {
             self.zeroed.push((seq, block));
         } else {
             self.fresh.push(FreshEntry { key, seq, block });
             self.due.push(Reverse((due, seq, block)));
         }
+    }
+
+    /// Total heap copies, live and stale.
+    fn heap_len(&self) -> usize {
+        self.fresh.len() + self.due.len() + self.zeroed.len()
+    }
+
+    /// Rebuild the heaps from `states`: exactly the copies a query would
+    /// accept, one per live entry, with every stale copy dropped. Buffers
+    /// are reused, so their capacity stays at the bounded high-water mark.
+    fn compact(&mut self) {
+        let mut fresh = std::mem::take(&mut self.fresh).into_vec();
+        let mut due = std::mem::take(&mut self.due).into_vec();
+        let mut zeroed = std::mem::take(&mut self.zeroed).into_vec();
+        fresh.clear();
+        due.clear();
+        zeroed.clear();
+        for (&block, st) in &self.states {
+            if st.zeroed {
+                zeroed.push((st.seq, block));
+            } else {
+                fresh.push(FreshEntry { key: f64::from_bits(st.key_bits), seq: st.seq, block });
+                due.push(Reverse((st.due, st.seq, block)));
+            }
+        }
+        self.fresh = BinaryHeap::from(fresh);
+        self.due = BinaryHeap::from(due);
+        self.zeroed = BinaryHeap::from(zeroed);
     }
 
     /// The block the exact Eq. 11 scan would pick at `period` with free
@@ -320,6 +366,10 @@ mod tests {
                     }
                     _ => period += next() % 3,
                 }
+                if step % 1000 == 500 {
+                    idx.compact();
+                    assert!(idx.heap_len() <= 2 * live.len(), "compaction kept stale copies");
+                }
                 assert_eq!(
                     idx.query(period, x),
                     reference_pick(&live, period, x),
@@ -327,6 +377,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn heaps_stay_bounded_without_queries() {
+        // Next-limit never queries: insert/rewrite/remove churn alone must
+        // not grow the heaps past the compaction bound.
+        const LIVE: usize = 64;
+        // One insert or rewrite may push two copies past a bound taken at
+        // the peak population (LIVE + 1, before the removal).
+        const BOUND: usize = COMPACT_FACTOR * (LIVE + 1) + COMPACT_SLACK + 2;
+        let mut idx = VictimIndex::default();
+        let mut live: std::collections::VecDeque<u64> = Default::default();
+        let mut max_heap = 0;
+        for step in 0..200_000u64 {
+            let m = meta((step % 997) as f64 / 997.0, (step % 13) as u32, step / 4);
+            idx.on_insert(step, &m);
+            live.push_back(step);
+            if step % 3 == 0 {
+                idx.on_rewrite(live[live.len() / 2], &m);
+            }
+            if live.len() > LIVE {
+                idx.on_remove(live.pop_front().unwrap());
+            }
+            assert!(idx.heap_len() <= BOUND, "step {step}: {} copies", idx.heap_len());
+            max_heap = max_heap.max(idx.heap_len());
+        }
+        assert!(max_heap > COMPACT_SLACK, "churn never reached the compaction point");
+        let capacity = idx.fresh.capacity() + idx.due.capacity() + idx.zeroed.capacity();
+        assert!(capacity <= 3 * BOUND.next_power_of_two(), "heap buffers grew to {capacity}");
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! The weight-sorted child order that candidate pruning depends on is
 //! therefore byte-identical to the per-node-`Vec` layout it replaces.
 //!
+//! Edge lookup (`(parent, block) → child`, [`Arena::find_child`]) is
+//! split by fan-out. A *narrow* node — child slot class below
+//! [`WIDE_CLASS`], so at most 8 children — is answered by scanning its
+//! slot, which fits one cache line. Only *wide* nodes keep their edges in
+//! the `edges` hash map. Slot classes never shrink while a node lives, so
+//! a node is promoted once, when its slot first grows to `WIDE_CLASS`,
+//! and never demoted; its entries leave the map one by one as its
+//! children are removed.
+//!
 //! Node ids are reused through [`Arena::free`] (LIFO, matching the seed's
 //! free list) so `OverflowPolicy::Evict` churn cannot grow the arrays
 //! without bound.
@@ -33,6 +42,10 @@ use prefetch_trace::BlockId;
 
 /// `ch_class` value for "no child slot allocated".
 pub(crate) const NO_CLASS: u8 = u8::MAX;
+
+/// Smallest slot class (16 slots, so more than 8 children) whose edges
+/// live in the hash index. Narrower nodes scan their slot instead.
+pub(crate) const WIDE_CLASS: u8 = 4;
 
 /// Shared storage for all child lists: one backing slab, carved into
 /// power-of-two slots recycled through per-class free lists.
@@ -98,7 +111,8 @@ pub(crate) struct Arena {
     pub(crate) pool: ChildPool,
     /// Reusable node ids (LIFO).
     pub(crate) free: Vec<u32>,
-    /// (parent id, block) → child id.
+    /// (parent id, block) → child id, for wide parents only (slot class
+    /// ≥ [`WIDE_CLASS`]); narrow parents are scanned.
     pub(crate) edges: FxHashMap<(u32, u64), u32>,
 }
 
@@ -189,8 +203,29 @@ impl Arena {
         self.ch_len[n as usize] == 0
     }
 
+    /// Whether `n`'s edges live in the hash index.
+    pub(crate) fn is_wide(&self, n: u32) -> bool {
+        let class = self.ch_class[n as usize];
+        class != NO_CLASS && class >= WIDE_CLASS
+    }
+
+    /// The child of `n` representing `block`: a hash probe for wide
+    /// nodes, a scan of the (at most 8-entry) slot for narrow ones. A
+    /// narrow scan returns the first match, so a block listed twice is
+    /// found at its first position only (what `check_invariants` relies on
+    /// to catch duplicates).
+    pub(crate) fn find_child(&self, n: u32, block: u64) -> Option<u32> {
+        if self.is_wide(n) {
+            self.edges.get(&(n, block)).copied()
+        } else {
+            self.children(n).iter().copied().find(|&c| self.blocks[c as usize] == block)
+        }
+    }
+
     /// Append a child id, growing the slot to the next capacity class
     /// (copying into a fresh slot, reclaiming the old one) when full.
+    /// Growing into [`WIDE_CLASS`] promotes `n`: its existing children are
+    /// entered into the edge index, as is every child pushed after.
     pub(crate) fn child_push(&mut self, n: u32, c: u32) {
         let ni = n as usize;
         let len = self.ch_len[ni];
@@ -205,20 +240,33 @@ impl Arena {
             self.pool.release(old, class);
             self.ch_start[ni] = grown;
             self.ch_class[ni] = class + 1;
+            if class + 1 == WIDE_CLASS {
+                let start = grown as usize;
+                for &k in &self.pool.slab[start..start + len as usize] {
+                    self.edges.insert((n, self.blocks[k as usize]), k);
+                }
+            }
         }
         self.pool.slab[self.ch_start[ni] as usize + len as usize] = c;
         self.ch_len[ni] = len + 1;
+        if self.is_wide(n) {
+            self.edges.insert((n, self.blocks[c as usize]), c);
+        }
     }
 
     /// Shifting removal at `pos` — exactly `Vec::remove` semantics — with
     /// the shifted suffix's `pos_in_parent` refreshed (the seed's
     /// `remove_leaf` did both steps; fusing them keeps the refresh from
-    /// re-reading the list).
+    /// re-reading the list). A wide node's edge entry goes with it.
     pub(crate) fn child_remove_at(&mut self, n: u32, pos: usize) {
         let ni = n as usize;
         let len = self.ch_len[ni] as usize;
         debug_assert!(pos < len);
         let start = self.ch_start[ni] as usize;
+        if self.is_wide(n) {
+            let gone = self.pool.slab[start + pos] as usize;
+            self.edges.remove(&(n, self.blocks[gone]));
+        }
         self.pool.slab.copy_within(start + pos + 1..start + len, start + pos);
         self.ch_len[ni] = (len - 1) as u32;
         for i in pos..len - 1 {
@@ -237,14 +285,11 @@ impl Arena {
     }
 
     /// Exact bytes owned by the arena: every container's *capacity* times
-    /// its element size. The hash map's open-addressing table is charged
-    /// at one metadata byte plus one entry per usable slot — deterministic
-    /// and within the allocator-rounding noise of the true figure; every
-    /// other term is exact.
+    /// its element size. The edge index's open-addressing table (wide
+    /// nodes' edges only) is charged at one metadata byte plus one entry
+    /// per usable slot — deterministic and within the allocator-rounding
+    /// noise of the true figure; every other term is exact.
     pub(crate) fn bytes_in_use(&self) -> usize {
-        fn vec_bytes<T>(v: &[T]) -> usize {
-            std::mem::size_of_val(v)
-        }
         let scalar = self.blocks.capacity() * 8
             + self.weights.capacity() * 8
             + self.parents.capacity() * 4
@@ -261,7 +306,6 @@ impl Arena {
         let free = self.free.capacity() * 4;
         let edges = self.edges.capacity()
             * (std::mem::size_of::<((u32, u64), u32)>() + 1/* swiss-table metadata byte */);
-        let _ = vec_bytes::<u32>(&[]);
         scalar + slab + pool_free + free + edges
     }
 }
@@ -318,13 +362,42 @@ mod tests {
     }
 
     #[test]
+    fn only_wide_nodes_are_hashed() {
+        let mut a = Arena::with_root();
+        let kids: Vec<u32> = (0..8).map(|i| a.alloc(BlockId(100 + i), 0, i as u32)).collect();
+        for &k in &kids {
+            a.child_push(0, k);
+        }
+        assert!(!a.is_wide(0), "8 children fit the last narrow class");
+        assert!(a.edges.is_empty());
+        assert_eq!(a.find_child(0, 103), Some(kids[3]));
+        assert_eq!(a.find_child(0, 7), None);
+
+        // The ninth child grows the slot to 16 and promotes the node.
+        let ninth = a.alloc(BlockId(108), 0, 8);
+        a.child_push(0, ninth);
+        assert!(a.is_wide(0));
+        assert_eq!(a.edges.len(), 9, "promotion hashes every existing child");
+        assert_eq!(a.find_child(0, 108), Some(ninth));
+        assert_eq!(a.find_child(0, 100), Some(kids[0]));
+
+        // Removal drops the entry; the node stays wide (classes never
+        // shrink) even below 9 children.
+        a.child_remove_at(0, 0);
+        a.child_remove_at(0, 0);
+        assert!(a.is_wide(0));
+        assert_eq!(a.edges.len(), 7);
+        assert_eq!(a.find_child(0, 100), None);
+        assert_eq!(a.find_child(0, 102), Some(kids[2]));
+    }
+
+    #[test]
     fn bytes_in_use_tracks_growth() {
         let mut a = Arena::with_root();
         let empty = a.bytes_in_use();
         for i in 0..1000 {
             let n = a.alloc(BlockId(i), 0, i as u32);
             a.child_push(0, n);
-            a.edges.insert((0, i), n);
         }
         assert!(a.bytes_in_use() > empty + 1000 * 36, "per-node scalars must be charged");
     }

@@ -15,10 +15,11 @@
 //!
 //! Provided here:
 //!
-//! * [`PrefetchTree`] — arena-based tree with O(1) edge lookup, the LZ
-//!   cursor, per-access outcome reporting (predictability, last-visited
-//!   child — Tables 2 and 3 of the paper), and optional **LRU node
-//!   limiting** (Figure 13; Section 9.3 memory study);
+//! * [`PrefetchTree`] — arena-based tree with constant-time edge lookup
+//!   (a scan of at most 8 child slots, or a hash probe at wider nodes),
+//!   the LZ cursor, per-access outcome reporting (predictability,
+//!   last-visited child — Tables 2 and 3 of the paper), and optional
+//!   **LRU node limiting** (Figure 13; Section 9.3 memory study);
 //! * [`Candidate`] and [`PrefetchTree::child_candidates`] — enumeration of
 //!   prefetch candidates below any position with path probabilities and
 //!   depths, consumed by the cost-benefit frontier in `prefetch-core`;

@@ -687,6 +687,51 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A raw-codec snapshot of `raw`, with a valid header and fingerprint.
+    fn raw_frame(raw: &RawTree) -> Vec<u8> {
+        let payload = encode_payload(raw);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&CODEC_RAW.to_le_bytes());
+        buf.extend_from_slice(&fingerprint(&payload).to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        buf
+    }
+
+    #[test]
+    fn duplicate_child_blocks_are_rejected_at_narrow_and_wide_parents() {
+        // Root: 20 children (a hashed, wide slot). Node for block 0: three
+        // children (a scanned, narrow slot).
+        let mut t = PrefetchTree::new();
+        for b in 0..20u64 {
+            t.record_access(BlockId(b));
+        }
+        for b in 100..103u64 {
+            t.record_access(BlockId(0));
+            t.record_access(BlockId(b));
+        }
+        let raw = t.to_raw();
+        assert_eq!(
+            PrefetchTree::read_snapshot(&mut &raw_frame(&raw)[..]).unwrap().node_count(),
+            23
+        );
+        let narrow = *raw.children[0].iter().find(|&&c| raw.blocks[c as usize] == 0).unwrap();
+        let narrow = narrow as usize;
+        for parent in [0, narrow] {
+            let kids = &raw.children[parent];
+            assert_eq!(kids.len(), if parent == 0 { 20 } else { 3 });
+            // The last child takes the first child's block.
+            let mut bad = raw.clone();
+            bad.blocks[*kids.last().unwrap() as usize] = raw.blocks[kids[0] as usize];
+            match PrefetchTree::read_snapshot(&mut &raw_frame(&bad)[..]) {
+                Err(TreeIoError::Corrupt("duplicate child block")) => {}
+                other => panic!("parent {parent}: expected duplicate child block, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn snapshot_preserves_eviction_state() {
         // Under a node limit the free list and LRU order steer future

@@ -47,7 +47,8 @@ pub enum OverflowPolicy {
 /// [`Arena`] (parallel field vectors plus one shared child slab); all
 /// operations are O(1) amortized except candidate enumeration
 /// (proportional to candidates returned) and node eviction (bounded leaf
-/// scan).
+/// scan). Edge lookup scans at most 8 child slots or probes the wide-node
+/// hash index.
 #[derive(Clone, Debug)]
 pub struct PrefetchTree {
     arena: Arena,
@@ -175,7 +176,7 @@ impl PrefetchTree {
 
     /// The child of `n` representing `block`, if present.
     pub fn child_by_block(&self, n: NodeId, block: BlockId) -> Option<NodeId> {
-        self.arena.edges.get(&(n.0, block.0)).map(|&c| NodeId(c))
+        self.arena.find_child(n.0, block.0).map(NodeId)
     }
 
     /// The child taken on the most recent visit to `n`.
@@ -225,7 +226,7 @@ impl PrefetchTree {
             self.fresh_substring = false;
         }
         let cur = self.cursor;
-        let existing = self.arena.edges.get(&(cur, block.0)).copied();
+        let existing = self.arena.find_child(cur, block.0);
 
         // Table 2: was the request predictable from the current position?
         let predictable = existing.is_some();
@@ -340,7 +341,6 @@ impl PrefetchTree {
         let pos = self.arena.ch_len[parent as usize];
         let idx = self.arena.alloc(block, parent, pos);
         self.arena.child_push(parent, idx);
-        self.arena.edges.insert((parent, block.0), idx);
         self.stats.nodes_created += 1;
         idx
     }
@@ -446,7 +446,6 @@ impl PrefetchTree {
         debug_assert_ne!(n, 0);
         let parent = self.arena.parents[n as usize];
         let pos = self.arena.pos_in_parent[n as usize] as usize;
-        let block = self.arena.blocks[n as usize];
         // Shifting removal keeps the children sorted by weight; the
         // arena refreshes the shifted suffix's positions. Eviction only
         // happens under a node limit, which also bounds the fan-out.
@@ -455,7 +454,6 @@ impl PrefetchTree {
         if self.arena.lvc[parent as usize] == n {
             self.arena.lvc[parent as usize] = NIL;
         }
-        self.arena.edges.remove(&(parent, block));
         self.unlink_lru(n);
         self.arena.release(n);
         self.stats.nodes_evicted += 1;
@@ -490,7 +488,7 @@ impl PrefetchTree {
         block: BlockId,
         weight: u64,
     ) -> Result<NodeId, &'static str> {
-        if self.arena.edges.contains_key(&(parent.0, block.0)) {
+        if self.arena.find_child(parent.0, block.0).is_some() {
             return Err("duplicate child block");
         }
         if let Some(&last) = self.arena.children(parent.0).last() {
@@ -665,8 +663,8 @@ impl PrefetchTree {
         }
 
         // Rebuild child slots compactly (minimal power-of-two class per
-        // list — slab geometry is not behavior, see DESIGN.md §12) and the
-        // edge index.
+        // list — slab geometry is not behavior, see DESIGN.md §12); pushes
+        // into a wide slot rebuild the edge index as they go.
         let mut arena = Arena::with_root();
         arena.blocks = raw.blocks;
         arena.weights = raw.weights;
@@ -683,10 +681,10 @@ impl PrefetchTree {
         arena.free = raw.free;
         for (i, kids) in raw.children.iter().enumerate() {
             for &c in kids {
-                arena.child_push(i as u32, c);
-                if arena.edges.insert((i as u32, arena.blocks[c as usize]), c).is_some() {
+                if arena.find_child(i as u32, arena.blocks[c as usize]).is_some() {
                     return Err("duplicate child block");
                 }
+                arena.child_push(i as u32, c);
             }
         }
 
@@ -716,13 +714,17 @@ impl PrefetchTree {
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut live = 0usize;
+        let mut hashed = 0usize;
         for i in 0..self.arena.len() {
             if self.arena.free.contains(&(i as u32)) {
                 continue;
             }
             live += 1;
-            // Children sum ≤ weight; sorted by descending weight; edges
-            // map agrees.
+            if self.arena.is_wide(i as u32) {
+                hashed += self.arena.children(i as u32).len();
+            }
+            // Children sum ≤ weight; sorted by descending weight; edge
+            // lookup finds every child (so no block is listed twice).
             let mut child_sum = 0u64;
             let mut prev_weight = u64::MAX;
             for (pos, &c) in self.arena.children(i as u32).iter().enumerate() {
@@ -732,9 +734,9 @@ impl PrefetchTree {
                     "pos_in_parent broken at {c}"
                 );
                 assert_eq!(
-                    self.arena.edges.get(&(i as u32, self.arena.blocks[c as usize])),
-                    Some(&c),
-                    "edge map broken at {c}"
+                    self.arena.find_child(i as u32, self.arena.blocks[c as usize]),
+                    Some(c),
+                    "edge lookup broken at {c}"
                 );
                 let w = self.arena.weights[c as usize];
                 assert!(w <= prev_weight, "children not weight-sorted at {i}");
@@ -748,7 +750,7 @@ impl PrefetchTree {
             );
         }
         assert_eq!(live, self.node_count() + 1, "live node accounting broken");
-        assert_eq!(self.arena.edges.len(), self.node_count(), "edge count mismatch");
+        assert_eq!(self.arena.edges.len(), hashed, "edge index holds a narrow node's edge");
     }
 }
 

@@ -9,6 +9,7 @@
 use prefetch_trace::BlockId;
 use prefetch_tree::io::{read_tree, write_tree};
 use prefetch_tree::PrefetchTree;
+use prefetch_tree::TreeIoError;
 use proptest::prelude::*;
 
 fn trained(blocks: &[u64]) -> PrefetchTree {
@@ -115,6 +116,37 @@ proptest! {
         let at = HEADER + pos % (buf.len() - HEADER);
         buf[at] ^= 1 << bit;
         prop_assert!(PrefetchTree::read_snapshot(&mut &buf[..]).is_err());
+    }
+}
+
+/// A legacy `PFLZ` image of a root (weight 255) whose children are the
+/// given `(block, weight)` leaves, in order.
+fn legacy_root_fan(kids: &[(u8, u8)]) -> Vec<u8> {
+    let mut buf = b"PFLZ\x01\x00".to_vec();
+    buf.extend_from_slice(&[0xff, 0x01, kids.len() as u8]);
+    for &(block, weight) in kids {
+        buf.extend_from_slice(&[block, weight, 0]);
+    }
+    buf
+}
+
+/// Two children with the same block are refused with a typed error
+/// whether the parent is narrow (its slot is scanned) or wide (its edges
+/// are hashed).
+#[test]
+fn duplicate_child_blocks_are_rejected() {
+    let ok: Vec<(u8, u8)> = (0..12).map(|b| (b, 2)).collect();
+    assert_eq!(read_tree(&mut &legacy_root_fan(&ok)[..]).unwrap().node_count(), 12);
+    let narrow = [(5, 3), (6, 2), (5, 2)];
+    let mut wide = ok.clone();
+    wide.push((3, 1));
+    for kids in [&narrow[..], &wide[..]] {
+        match read_tree(&mut &legacy_root_fan(kids)[..]) {
+            Err(TreeIoError::Corrupt("duplicate child block")) => {}
+            other => {
+                panic!("{} children: expected duplicate child block, got {other:?}", kids.len())
+            }
+        }
     }
 }
 
