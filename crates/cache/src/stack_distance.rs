@@ -82,8 +82,13 @@ impl StackDistanceEstimator {
 
         let distance = match self.last_access.insert(block, slot) {
             Some(prev) => {
-                // Distinct blocks referenced strictly after `prev`.
-                let after = self.live.total() - self.live.prefix_sum(prev as usize);
+                // Distinct blocks referenced strictly after `prev`. Every
+                // tracked block holds exactly one live slot (compaction
+                // included), so the live total is the map's length — no
+                // Fenwick walk needed.
+                let live = self.last_access.len() as u64;
+                debug_assert_eq!(live, self.live.total());
+                let after = live - self.live.prefix_sum(prev as usize);
                 self.live.add(prev as usize, -1);
                 Some(after as usize)
             }

@@ -383,7 +383,9 @@ impl Service {
                             // Logged at accept time: the WAL holds exactly
                             // the events that will be processed, in order.
                             self.wal_append(i, &WalRecord::Event(block));
-                            if self.wal.as_ref().is_some_and(|w| w.logs.contains_key(&i)) {
+                            if self.opts.trace_ring > 0
+                                && self.wal.as_ref().is_some_and(|w| w.logs.contains_key(&i))
+                            {
                                 self.record_flight(i, "wal", "block", block);
                             }
                         }
@@ -667,10 +669,15 @@ impl Service {
         }
     }
 
-    /// Batch-end durability pass: sync dirty logs when the group-commit
-    /// policy says so (a failed sync degrades its tenant), then write
-    /// any due checkpoint snapshots.
+    /// Batch-end durability pass: hand every log's pending records to
+    /// the OS (one write per tenant), sync dirty logs when the
+    /// group-commit policy says so (a failed write or sync degrades its
+    /// tenant), then write any due checkpoint snapshots.
     fn wal_commit_pass(&mut self) {
+        let Some(w) = self.wal.as_mut() else { return };
+        for (idx, e) in w.flush_all() {
+            self.degrade_tenant_wal(idx, &format!("write failed: {e}"));
+        }
         let (sync_failures, ckpt_due) = {
             let Some(w) = self.wal.as_mut() else { return };
             let failures = if w.commit.due() { w.sync_all() } else { Vec::new() };
@@ -1671,16 +1678,23 @@ impl Service {
     }
 
     /// Render the `pfserve-recovery-bench/v1` JSON artifact: WAL volume
-    /// and fsync counts (for fsync-policy overhead comparisons) plus the
+    /// (records appended, and the `write_all` calls that carried them —
+    /// about one per tenant per batch) and fsync counts (for fsync-policy
+    /// overhead comparisons) plus the
     /// recovery outcome and replay throughput, when a recovery ran.
     pub fn recovery_bench_json(&self) -> String {
         let elapsed = self.started.elapsed().as_secs_f64();
         let s = &self.stats;
         let wal = match &self.wal {
             Some(w) => format!(
-                "{{\"enabled\":true,\"appends\":{},\"fsyncs\":{},\"sync_errors\":{},\
-                 \"degraded_tenants\":{},\"checkpoints\":{}}}",
-                w.appends, w.fsyncs, w.sync_errors, w.degraded_tenants, w.checkpoints
+                "{{\"enabled\":true,\"appends\":{},\"writes\":{},\"fsyncs\":{},\
+                 \"sync_errors\":{},\"degraded_tenants\":{},\"checkpoints\":{}}}",
+                w.appends,
+                w.writes(),
+                w.fsyncs,
+                w.sync_errors,
+                w.degraded_tenants,
+                w.checkpoints
             ),
             None => "{\"enabled\":false}".to_string(),
         };

@@ -6,11 +6,15 @@
 //! `O` record (the resolved [`TenantSpec`], re-encoded in the `OPEN`
 //! option grammar), one `E` record per accepted event, `S`/`H` markers
 //! for attributed skips and sheds (so `FINAL` counters survive a
-//! crash), `P` when the chaos hook arms, and `C` at close. Appends
-//! happen at *accept* time — before the event is processed — and a
-//! group-commit pass ([`prefetch_wal::GroupCommit`]) syncs dirty logs
-//! at each batch end, before the batch's responses are released; under
-//! `--fsync always` every acknowledged response is therefore durable.
+//! crash), `P` when the chaos hook arms, and `C` at close. Records are
+//! appended at *accept* time — before the event is processed — into the
+//! log's pending buffer. At each batch end, before the batch's responses
+//! are released, the commit pass hands every log's pending records to
+//! the OS in one write per tenant and then, when the group-commit policy
+//! ([`prefetch_wal::GroupCommit`]) says so, syncs the dirty logs. So
+//! every acknowledged response is written to the OS, and under
+//! `--fsync always` it is durable. Paths that sync or drop a log
+//! mid-batch (close, quarantine, degradation) flush it first.
 //!
 //! Recovery (`Service::recover`) replays each live log **in full**
 //! through a fresh tenant: a tenant's advice stream is a pure function
@@ -110,11 +114,16 @@ fn render_policy(p: &PolicySpec) -> String {
 }
 
 impl WalRecord {
-    /// Encode to the record payload (ASCII, one logical line).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Append the record payload (ASCII, one logical line) to `out`. The
+    /// log's pending buffer is the usual `out`, so appending a record
+    /// allocates nothing.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        // Writing into a `Vec` cannot fail, so the results are dropped.
         match self {
             WalRecord::Open { spec, base } => {
-                let mut s = format!(
+                let _ = write!(
+                    out,
                     "O cache={} policy={} nodes={} overflow={} base={}",
                     spec.cache_blocks,
                     render_policy(&spec.policy),
@@ -123,21 +132,23 @@ impl WalRecord {
                     u8::from(*base),
                 );
                 if let Some(d) = spec.disks {
-                    s.push_str(&format!(" disks={d}"));
+                    let _ = write!(out, " disks={d}");
                 }
                 if spec.fault_rate > 0.0 {
-                    s.push_str(&format!(
+                    let _ = write!(
+                        out,
                         " fault_rate={} fault_seed={}",
                         spec.fault_rate, spec.fault_seed
-                    ));
+                    );
                 }
-                s.into_bytes()
             }
-            WalRecord::Event(block) => format!("E {block}").into_bytes(),
-            WalRecord::Skip => b"S".to_vec(),
-            WalRecord::Shed => b"H".to_vec(),
-            WalRecord::PanicArm => b"P".to_vec(),
-            WalRecord::Close => b"C".to_vec(),
+            WalRecord::Event(block) => {
+                let _ = write!(out, "E {block}");
+            }
+            WalRecord::Skip => out.push(b'S'),
+            WalRecord::Shed => out.push(b'H'),
+            WalRecord::PanicArm => out.push(b'P'),
+            WalRecord::Close => out.push(b'C'),
         }
     }
 
@@ -200,6 +211,8 @@ pub(crate) struct Durability {
     pub(crate) logs: BTreeMap<usize, TenantLog>,
     /// Records appended across all logs.
     pub(crate) appends: u64,
+    /// `write_all` calls of logs no longer open (see [`Durability::writes`]).
+    retired_writes: u64,
     /// Successful group-commit fsync passes (log-level syncs).
     pub(crate) fsyncs: u64,
     /// Sync failures (each degrades its tenant to in-memory).
@@ -220,6 +233,7 @@ impl Durability {
             checkpoint_every,
             logs: BTreeMap::new(),
             appends: 0,
+            retired_writes: 0,
             fsyncs: 0,
             sync_errors: 0,
             degraded_tenants: 0,
@@ -263,17 +277,20 @@ impl Durability {
         base: bool,
     ) -> io::Result<TenantLog> {
         let mut log = AppendLog::create(&self.wal_path(name))?;
-        log.append(&WalRecord::Open { spec: spec.clone(), base }.encode())?;
+        let open = WalRecord::Open { spec: spec.clone(), base };
+        log.append(|buf| open.encode(buf))?;
         self.appends += 1;
         self.commit.note(1);
         Ok(TenantLog { log, since_ckpt: 0 })
     }
 
-    /// Append one record to a tenant's log (no-op when the tenant has no
-    /// log — already degraded). Errors must degrade the tenant.
+    /// Append one record to a tenant's pending buffer (no-op when the
+    /// tenant has no log — already degraded); it reaches the OS at the
+    /// next flush. Errors (only an injected short write fails here) must
+    /// degrade the tenant.
     pub(crate) fn append(&mut self, idx: usize, record: &WalRecord) -> io::Result<()> {
         let Some(t) = self.logs.get_mut(&idx) else { return Ok(()) };
-        t.log.append(&record.encode())?;
+        t.log.append(|buf| record.encode(buf))?;
         self.appends += 1;
         self.commit.note(1);
         if matches!(record, WalRecord::Event(_)) {
@@ -287,7 +304,7 @@ impl Durability {
     /// gone either way, and a surviving log ends in `C`, which recovery
     /// treats as closed.
     pub(crate) fn retire(&mut self, idx: usize, name: &str) {
-        self.logs.remove(&idx);
+        self.drop_log(idx);
         for path in [
             self.wal_path(name),
             self.base_path(name),
@@ -300,13 +317,35 @@ impl Durability {
 
     /// Drop a tenant's log without touching its files (mid-run
     /// degradation keeps the history for postmortem, quarantine keeps it
-    /// so recovery reproduces the failure).
+    /// so recovery reproduces the failure). Pending records are flushed
+    /// first, best-effort: the tenant is losing durability either way.
     pub(crate) fn drop_log(&mut self, idx: usize) {
-        self.logs.remove(&idx);
+        if let Some(mut t) = self.logs.remove(&idx) {
+            let _ = t.log.flush();
+            self.retired_writes += t.log.writes();
+        }
     }
 
-    /// Sync every dirty log; returns the slot indices whose sync failed
-    /// (the caller degrades those tenants).
+    /// `write_all` calls across all logs, live and dropped.
+    pub(crate) fn writes(&self) -> u64 {
+        self.retired_writes + self.logs.values().map(|t| t.log.writes()).sum::<u64>()
+    }
+
+    /// Hand every log's pending records to the OS, one write per log;
+    /// returns the slot indices whose write failed, with the error (the
+    /// caller degrades those tenants).
+    pub(crate) fn flush_all(&mut self) -> Vec<(usize, io::Error)> {
+        let mut failed = Vec::new();
+        for (&idx, t) in self.logs.iter_mut() {
+            if let Err(e) = t.log.flush() {
+                failed.push((idx, e));
+            }
+        }
+        failed
+    }
+
+    /// Sync (flushing first) every dirty log; returns the slot indices
+    /// whose sync failed (the caller degrades those tenants).
     pub(crate) fn sync_all(&mut self) -> Vec<usize> {
         let mut failed = Vec::new();
         for (&idx, t) in self.logs.iter_mut() {
@@ -473,6 +512,12 @@ pub(crate) fn apply_record(state: &mut TenantState, record: &WalRecord) -> bool 
 mod tests {
     use super::*;
 
+    fn encoded(rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode(&mut out);
+        out
+    }
+
     fn spec(pairs: &[(&str, &str)]) -> TenantSpec {
         let opts: Vec<(String, String)> =
             pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
@@ -503,7 +548,7 @@ mod tests {
             WalRecord::Close,
         ];
         for rec in cases {
-            let back = WalRecord::decode(&rec.encode()).unwrap();
+            let back = WalRecord::decode(&encoded(&rec)).unwrap();
             match (&rec, &back) {
                 (WalRecord::Open { spec: a, base: ba }, WalRecord::Open { spec: b, base: bb }) => {
                     assert_eq!(ba, bb);
@@ -529,7 +574,7 @@ mod tests {
 
     #[test]
     fn sequence_violations_are_typed() {
-        let img = |recs: &[WalRecord]| recs.iter().map(|r| r.encode()).collect::<Vec<_>>();
+        let img = |recs: &[WalRecord]| recs.iter().map(encoded).collect::<Vec<_>>();
         let open = WalRecord::Open { spec: spec(&[]), base: false };
 
         // Event before open.
@@ -557,6 +602,6 @@ mod tests {
         let mut s = spec(&[]);
         s.policy = PolicySpec::PerfectSelector;
         let rec = WalRecord::Open { spec: s, base: false };
-        assert!(WalRecord::decode(&rec.encode()).is_err());
+        assert!(WalRecord::decode(&encoded(&rec)).is_err());
     }
 }

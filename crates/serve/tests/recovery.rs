@@ -13,7 +13,7 @@
 
 use prefetch_disk::DurabilityFaultPlan;
 use prefetch_serve::{ServeOpts, Service, TenantDefaults, TenantSpec, WalOpts, WalRecord};
-use prefetch_wal::{AppendLog, FsyncPolicy};
+use prefetch_wal::{AppendLog, FsyncPolicy, Tail};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -267,7 +267,7 @@ fn sequence_violations_quarantine_with_typed_errors() {
         fs::create_dir_all(&wal).unwrap();
         let mut log = AppendLog::create(&wal.join("bad.wal")).unwrap();
         for r in &records {
-            log.append(&r.encode()).unwrap();
+            log.append(|buf| r.encode(buf)).unwrap();
         }
         log.sync().unwrap();
         drop(log);
@@ -351,6 +351,140 @@ fn injected_durability_faults_degrade_only_the_victim() {
         assert!(bye.contains(" wal_degraded=1"), "{tag}: {bye}");
         let _ = fs::remove_dir_all(&root);
     }
+}
+
+/// The records of a tenant's log, decoded (the scan must be clean or
+/// torn — never corrupt).
+fn logged(wal: &Path, tenant: &str) -> (Vec<WalRecord>, Tail) {
+    let scan = prefetch_wal::scan(&wal.join(format!("{tenant}.wal"))).unwrap();
+    let records = scan.records.iter().map(|r| WalRecord::decode(r).unwrap()).collect();
+    (records, scan.tail)
+}
+
+fn adv_lines(dir: &Path, tenant: &str) -> Vec<String> {
+    advice_file(dir, tenant).lines().filter(|l| l.starts_with("ADV")).map(str::to_string).collect()
+}
+
+/// A tenant quarantined in the middle of a batch (its armed panic fires
+/// at the batch-end flush) has every record it accepted in that batch on
+/// disk — including the events queued behind the `PANIC` line — and a
+/// recovery replays the log into the same quarantine with the same
+/// counters. `fsync never`: only the flush makes the records visible.
+#[test]
+fn mid_batch_quarantine_keeps_accepted_records_and_recovers_into_it() {
+    let root = tmp_dir("midq");
+    let (advice, wal) = (root.join("advice"), root.join("wal"));
+    let mut o = opts(&advice, &wal);
+    o.wal.fsync = FsyncPolicy::Never;
+    let mut s = Service::new(o.clone()).unwrap();
+    feed(&mut s, &script(2, 4), 64);
+    let batch: Vec<(u64, String)> =
+        ["EV t0 5", "EV t1 5", "EV t0 6", "PANIC t0", "EV t0 7", "EV t1 6", "EV t0 8"]
+            .iter()
+            .map(|l| (0, l.to_string()))
+            .collect();
+    let responses = s.process_batch(&batch);
+    assert!(responses.iter().any(|(_, l)| l.starts_with("PANIC t0 quarantined")), "{responses:?}");
+
+    // Before any drain: t0's log holds the whole accepted history.
+    let (records, tail) = logged(&wal, "t0");
+    assert_eq!(tail, Tail::Clean);
+    let events: Vec<u64> = records
+        .iter()
+        .filter_map(|r| if let WalRecord::Event(b) = r { Some(*b) } else { None })
+        .collect();
+    assert_eq!(events.len(), 4 + 4, "{records:?}");
+    assert_eq!(&events[4..], &[5, 6, 7, 8]);
+    assert_eq!(records.iter().filter(|r| **r == WalRecord::PanicArm).count(), 1);
+    let live = s.drain();
+    let live_final = live.iter().find(|l| l.starts_with("FINAL t0")).unwrap().clone();
+    assert!(live_final.contains(" quarantined=true "), "{live_final}");
+
+    let mut ro = o;
+    ro.advice_dir = Some(root.join("advice-rec"));
+    ro.wal.recover = true;
+    let mut r = Service::new(ro).unwrap();
+    let report = r.recover();
+    assert_eq!((report.replayed, report.quarantined), (1, 1), "{:?}", report.errors);
+    assert_eq!(report.errors[0].0, "t0");
+    let rec = r.drain();
+    let rec_final = rec.iter().find(|l| l.starts_with("FINAL t0")).unwrap();
+    let counters = |l: &str| l.split(" err=").next().unwrap().to_string();
+    assert_eq!(counters(rec_final), counters(&live_final));
+    assert_eq!(adv_lines(&root.join("advice-rec"), "t0"), adv_lines(&advice, "t0"));
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Fails append number `at` (counted from installation) with a short
+/// write that keeps `keep` bytes of the record.
+struct ShortAt {
+    calls: u64,
+    at: u64,
+    keep: usize,
+}
+
+impl prefetch_wal::WriteFaults for ShortAt {
+    fn on_append(&mut self, _index: u64, _len: usize) -> Option<prefetch_wal::AppendFault> {
+        self.calls += 1;
+        (self.calls - 1 == self.at)
+            .then_some(prefetch_wal::AppendFault::ShortWrite { keep: self.keep })
+    }
+    fn on_sync(&mut self, _index: u64) -> bool {
+        false
+    }
+}
+
+/// A tenant degraded by a short write in the middle of a batch has every
+/// record accepted before the failing one on disk, followed by the torn
+/// partial record; it keeps serving in memory. Recovery truncates the
+/// torn tail and replays exactly the logged prefix: the recovered
+/// tenant's advice is the live tenant's up to the degradation point.
+#[test]
+fn mid_batch_degradation_keeps_accepted_records_and_recovers_the_prefix() {
+    let root = tmp_dir("midd");
+    let (advice, wal) = (root.join("advice"), root.join("wal"));
+    let mut o = opts(&advice, &wal);
+    o.wal.fsync = FsyncPolicy::Never;
+    let mut s = Service::new(o.clone()).unwrap();
+    feed(&mut s, &script(2, 4), 64);
+    assert!(s.inject_wal_faults("t0", Box::new(ShortAt { calls: 0, at: 2, keep: 7 })));
+    let batch: Vec<(u64, String)> =
+        ["EV t0 5", "EV t1 5", "EV t0 6", "EV t0 7", "EV t1 6", "EV t0 8"]
+            .iter()
+            .map(|l| (0, l.to_string()))
+            .collect();
+    let _ = s.process_batch(&batch);
+
+    // The third t0 append (block 7) failed: blocks 5 and 6, pending at
+    // that moment, reached the file in front of the torn record.
+    let (records, tail) = logged(&wal, "t0");
+    assert!(matches!(tail, Tail::Torn { dropped: 7, .. }), "{tail:?}");
+    let events: Vec<u64> = records
+        .iter()
+        .filter_map(|r| if let WalRecord::Event(b) = r { Some(*b) } else { None })
+        .collect();
+    assert_eq!(events.len(), 4 + 2);
+    assert_eq!(&events[4..], &[5, 6]);
+    let live = s.drain();
+    let live_final = live.iter().find(|l| l.starts_with("FINAL t0")).unwrap();
+    assert!(
+        live_final.contains(" events=8 ") && live_final.contains(" wal=degraded "),
+        "{live_final}"
+    );
+
+    let mut ro = o;
+    ro.advice_dir = Some(root.join("advice-rec"));
+    ro.wal.recover = true;
+    let mut r = Service::new(ro).unwrap();
+    let report = r.recover();
+    assert_eq!((report.replayed, report.torn_truncated, report.quarantined), (2, 1, 0));
+    let rec = r.drain();
+    let rec_final = rec.iter().find(|l| l.starts_with("FINAL t0")).unwrap();
+    assert!(rec_final.contains(" events=6 "), "{rec_final}");
+    let want = adv_lines(&advice, "t0");
+    assert_eq!(adv_lines(&root.join("advice-rec"), "t0"), want[..6].to_vec());
+    assert_eq!(adv_lines(&root.join("advice-rec"), "t1"), adv_lines(&advice, "t1"));
+    let _ = fs::remove_dir_all(&root);
 }
 
 /// An unusable WAL directory degrades the whole service to in-memory-only

@@ -6,10 +6,11 @@
 //!
 //! * **Append-only logs** ([`AppendLog`], [`record`]): fingerprinted,
 //!   length-prefixed binary records appended to a file and group-committed
-//!   under a configurable [`FsyncPolicy`]. Because an append is a single
-//!   prefix-write of one record buffer, a crash can only leave a *strict
-//!   prefix* of the bytes — so on open ([`scan`]) a record that extends
-//!   past EOF is a **torn tail** (truncated, work re-runs), while a
+//!   under a configurable [`FsyncPolicy`]. Appends buffer whole records
+//!   and a flush writes them in one `write_all`, so a crash can only
+//!   leave a *strict prefix* of the appended bytes. On open ([`scan`]) a
+//!   record that extends past EOF is therefore a **torn tail**
+//!   (truncated, work re-runs), while a
 //!   fully-present record whose FNV-1a fingerprint mismatches can only be
 //!   **corruption** (bit rot, a flipped bit) and is surfaced as a typed
 //!   [`Tail::Corrupt`] for the caller to quarantine.

@@ -12,9 +12,14 @@
 //!
 //! ## Torn vs corrupt
 //!
-//! An append is one `write_all` of the complete record buffer, so a crash
-//! leaves a strict prefix of the appended bytes. The scanner exploits
-//! that to classify damage precisely:
+//! The writer ([`crate::AppendLog`]) encodes each appended record into a
+//! pending buffer and hands the buffer to the OS in one `write_all` when
+//! it is flushed — once per tenant per batch in `pfserve`, at the commit
+//! point. Whether a write carries one record or a hundred, a crash during
+//! it leaves a strict prefix of the bytes written, and the bytes of
+//! earlier writes are whole records. So the file is always a byte prefix
+//! of the appended record stream, and the scanner exploits that to
+//! classify damage precisely:
 //!
 //! * record extends past EOF, or an all-zero header at the tail (some
 //!   filesystems zero-fill recovered extents) → [`Tail::Torn`]: drop the
@@ -51,17 +56,22 @@ pub(crate) fn file_header() -> [u8; FILE_HEADER_LEN] {
     out
 }
 
-/// Render one record (header + payload) into a fresh buffer.
-pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
+/// Append one record (header + payload) to `out` without an
+/// intermediate buffer: `fill` appends the payload after a reserved
+/// header, which is then filled in. Returns the record's length.
+pub(crate) fn encode_record(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; RECORD_HEADER_LEN]);
+    fill(out);
+    let len = out.len() - start - RECORD_HEADER_LEN;
     assert!(
-        !payload.is_empty() && payload.len() <= MAX_RECORD_LEN,
-        "record payload must be 1..={MAX_RECORD_LEN} bytes"
+        (1..=MAX_RECORD_LEN).contains(&len),
+        "record payload must be 1..={MAX_RECORD_LEN} bytes, got {len}"
     );
-    let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fingerprint(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+    let fp = fingerprint(&out[start + RECORD_HEADER_LEN..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&fp.to_le_bytes());
+    RECORD_HEADER_LEN + len
 }
 
 /// How the scan ended.
@@ -216,7 +226,7 @@ mod tests {
     fn image(payloads: &[&[u8]]) -> Vec<u8> {
         let mut buf = file_header().to_vec();
         for p in payloads {
-            buf.extend_from_slice(&encode_record(p));
+            encode_record(&mut buf, |b| b.extend_from_slice(p));
         }
         buf
     }
